@@ -1,9 +1,10 @@
 //! Shard-scaling harness for the parallel DES engine: runs the
 //! Taobao-scale synthetic topology (500 services over a 5000-microservice
-//! pool) through `Simulation::run_sharded` across a K × threads grid,
-//! compares modulo vs topology-aware partitions (`partition_compare`:
-//! cut-edge fraction, window/message counts and serial wall time at
-//! K∈{2,4,8} under adaptive windows), and emits `BENCH_shard.json`.
+//! pool) through `Simulation::run_sharded_with_partition_and_sinks` across
+//! a K × threads grid of `id % K` partitions, compares modulo vs
+//! topology-aware partitions (`partition_compare`: cut-edge fraction,
+//! window/message counts and serial wall time at K∈{2,4,8}), and emits
+//! `BENCH_shard.json`.
 //!
 //! Usage (as a `harness = false` bench target):
 //!
@@ -28,7 +29,7 @@ use erms_core::latency::Interference;
 use erms_core::prelude::{MicroserviceId, RequestRate, WorkloadVector};
 use erms_sim::runtime::{SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
-use erms_sim::{cross_shard_edge_fraction, replicate, Partition};
+use erms_sim::{replicate, NullSink, Partition, ShardStats};
 use erms_trace::synth::{generate, SynthConfig};
 use erms_workload::apps::fig5_app;
 
@@ -118,6 +119,23 @@ fn build_sim(sc: &Scenario, seed: u64) -> Simulation<'_> {
     sim
 }
 
+/// Runs the scenario sharded by `partition`, without telemetry.
+fn run_partitioned(
+    sim: &Simulation<'_>,
+    sc: &Scenario,
+    partition: &Partition,
+) -> (SimResult, ShardStats) {
+    let mut sinks = vec![NullSink; partition.shards()];
+    sim.run_sharded_with_partition_and_sinks(
+        &sc.workloads,
+        &sc.containers,
+        &BTreeMap::new(),
+        partition,
+        &mut sinks,
+    )
+    .expect("sharded run")
+}
+
 fn json_f(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.3}")
@@ -164,6 +182,7 @@ fn main() {
         nodes
     );
     let sim = build_sim(&sc, 7);
+    let modulo = |k: usize| Partition::modulo(sc.app.microservice_count(), k);
 
     // --- The K × threads scaling grid. ---
     let shard_counts = [1usize, 2, 4, 8];
@@ -176,10 +195,9 @@ fn main() {
         for &t in &thread_counts {
             std::env::set_var("RAYON_NUM_THREADS", t.to_string());
             for &k in &shard_counts {
+                let partition = modulo(k);
                 let start = Instant::now();
-                let result = sim
-                    .run_sharded(&sc.workloads, &sc.containers, &BTreeMap::new(), k)
-                    .expect("sharded run");
+                let (result, _) = run_partitioned(&sim, &sc, &partition);
                 let ms = start.elapsed().as_secs_f64() * 1e3;
                 let slot = wall.entry((k, t)).or_insert(f64::INFINITY);
                 *slot = slot.min(ms);
@@ -274,6 +292,7 @@ fn main() {
     let mut k1_wall = f64::INFINITY;
     let mut run_events = 0u64;
     let mut k1_events = 0u64;
+    let small_one = Partition::modulo(small_app.microservice_count(), 1);
     for _ in 0..small_reps {
         let start = Instant::now();
         let r = small_sim
@@ -282,8 +301,14 @@ fn main() {
         run_wall = run_wall.min(start.elapsed().as_secs_f64() * 1e3);
         run_events = r.events;
         let start = Instant::now();
-        let r = small_sim
-            .run_sharded(&small_w, &small_cs, &BTreeMap::new(), 1)
+        let (r, _) = small_sim
+            .run_sharded_with_partition_and_sinks(
+                &small_w,
+                &small_cs,
+                &BTreeMap::new(),
+                &small_one,
+                &mut [NullSink],
+            )
             .expect("K=1 run");
         k1_wall = k1_wall.min(start.elapsed().as_secs_f64() * 1e3);
         k1_events = r.events;
@@ -292,21 +317,21 @@ fn main() {
     let k1_eps = k1_events as f64 / (k1_wall / 1e3).max(1e-9);
     println!(
         "small single-shard: run() {run_wall:.1} ms ({run_eps:.0} ev/s) vs \
-         run_sharded(1) {k1_wall:.1} ms ({k1_eps:.0} ev/s) — sequential \
+         sharded K=1 {k1_wall:.1} ms ({k1_eps:.0} ev/s) — sequential \
          engine untouched"
     );
 
     // --- Modulo vs topology-aware partitioning, serial (T=1). Both sides
-    // run through `run_sharded_with_partition` (adaptive windows), so the
-    // comparison isolates the partition quality; every run is asserted
-    // bit-identical to the pinned golden before any number is written. ---
+    // run the same windows (one window rule), so the comparison isolates
+    // the partition quality; every run is asserted bit-identical to the
+    // pinned golden before any number is written. ---
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let want = base_digest.expect("grid ran");
     let mut pc_json = Vec::new();
-    println!("partition_compare (serial, adaptive windows):");
+    println!("partition_compare (serial):");
     for &k in &[2usize, 4, 8] {
         let candidates = [
-            ("modulo", Partition::modulo(sc.app.microservice_count(), k)),
+            ("modulo", modulo(k)),
             (
                 "topology",
                 Partition::topology_aware(&sc.app, &sc.workloads, k),
@@ -318,14 +343,7 @@ fn main() {
             let mut last_stats = None;
             for _ in 0..reps {
                 let start = Instant::now();
-                let (result, stats) = sim
-                    .run_sharded_with_partition(
-                        &sc.workloads,
-                        &sc.containers,
-                        &BTreeMap::new(),
-                        part,
-                    )
-                    .expect("partitioned run");
+                let (result, stats) = run_partitioned(&sim, &sc, part);
                 best = best.min(start.elapsed().as_secs_f64() * 1e3);
                 let d = digest(&result);
                 assert!(
@@ -335,24 +353,23 @@ fn main() {
                 last_stats = Some(stats);
             }
             let stats = last_stats.expect("at least one rep");
+            let (cut, total) = part.cut_edges(&sc.app);
             println!(
-                "  K={k} {name}: cut {:.3} ({}/{} edges), {} windows, {} msgs \
+                "  K={k} {name}: cut {:.3} ({cut}/{total} edges), {} windows, {} msgs \
                  ({:.1}/window), {best:.1} ms wall",
-                stats.cut_edge_fraction(),
-                stats.cut_edges,
-                stats.total_edges,
+                part.cut_edge_fraction(&sc.app),
                 stats.windows,
                 stats.messages,
                 stats.messages_per_window(),
             );
-            cells.push((*name, stats, best));
+            cells.push((cut, stats, best));
         }
-        let (_, mstats, mwall) = cells[0];
-        let (_, tstats, twall) = cells[1];
-        let cut_reduction = if mstats.cut_edges == 0 {
+        let (mcut, mstats, mwall) = cells[0];
+        let (tcut, tstats, twall) = cells[1];
+        let cut_reduction = if mcut == 0 {
             0.0
         } else {
-            1.0 - tstats.cut_edges as f64 / mstats.cut_edges as f64
+            1.0 - tcut as f64 / mcut as f64
         };
         println!(
             "  K={k}: topology cuts {:.1}% fewer edges, wall {:.2}x of modulo",
@@ -374,14 +391,17 @@ fn main() {
                  {mwall:.1} ms — more than 10% slower despite fewer cut edges"
             );
         }
-        let cell_json = |stats: erms_sim::ShardStats, wall: f64| {
+        assert_eq!(
+            mstats.windows, tstats.windows,
+            "K={k}: the window sequence must not depend on the partition"
+        );
+        let cell_json = |part: &Partition, stats: ShardStats, wall: f64| {
+            let (cut, total) = part.cut_edges(&sc.app);
             format!(
-                "{{\"cut_fraction\": {}, \"cut_edges\": {}, \"total_edges\": {}, \
+                "{{\"cut_fraction\": {}, \"cut_edges\": {cut}, \"total_edges\": {total}, \
                  \"windows\": {}, \"messages\": {}, \"messages_per_window\": {}, \
                  \"wall_ms\": {}}}",
-                json_f(stats.cut_edge_fraction()),
-                stats.cut_edges,
-                stats.total_edges,
+                json_f(part.cut_edge_fraction(&sc.app)),
                 stats.windows,
                 stats.messages,
                 json_f(stats.messages_per_window()),
@@ -391,8 +411,8 @@ fn main() {
         pc_json.push(format!(
             "    {{\"shards\": {k}, \"modulo\": {}, \"topology\": {}, \
              \"cut_reduction\": {}, \"bit_identical\": true}}",
-            cell_json(mstats, mwall),
-            cell_json(tstats, twall),
+            cell_json(&candidates[0].1, mstats, mwall),
+            cell_json(&candidates[1].1, tstats, twall),
             json_f(cut_reduction)
         ));
     }
@@ -400,17 +420,17 @@ fn main() {
 
     // --- Replication sanity: the fan-out harness still composes with the
     // sharded engine (each replica is itself a K=2 run). ---
+    let halves = modulo(2);
     let rep_results = replicate(21, 2, |seed, _| {
-        build_sim(&sc, seed)
-            .run_sharded(&sc.workloads, &sc.containers, &BTreeMap::new(), 2)
-            .expect("replicated sharded run")
+        run_partitioned(&build_sim(&sc, seed), &sc, &halves)
+            .0
             .events
     });
     assert_eq!(rep_results.len(), 2);
 
     let frac_json: Vec<String> = [2usize, 4, 8]
         .iter()
-        .map(|&k| format!("\"{k}\": {}", json_f(cross_shard_edge_fraction(&sc.app, k))))
+        .map(|&k| format!("\"{k}\": {}", json_f(modulo(k).cut_edge_fraction(&sc.app))))
         .collect();
     let json = format!(
         "{{\n  \"env\": {env},\n  \"quick\": {quick},\n  \"topology\": {{\n    \

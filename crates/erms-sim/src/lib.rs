@@ -18,7 +18,6 @@
 //!   cluster faults for controller-loop experiments
 //!   ([`ClusterFaultPlan`]);
 //! * [`service_time`] — lognormal, interference-sensitive service times;
-//! * [`stats`] — percentile helpers;
 //! * [`telemetry`] — zero-cost-when-disabled [`TelemetrySink`] hooks
 //!   feeding the `erms-telemetry` observability pipeline.
 //!
@@ -66,7 +65,6 @@ pub mod replicate;
 pub mod runtime;
 pub mod service_time;
 pub mod shard;
-pub mod stats;
 mod tables;
 pub mod telemetry;
 pub mod timekey;
@@ -76,5 +74,5 @@ pub use partition::Partition;
 pub use replicate::{replicate, replicate_serial, replication_seed};
 pub use runtime::{PercentileView, Scheduling, SimConfig, SimResult, Simulation};
 pub use service_time::ServiceTimeModel;
-pub use shard::{cross_shard_edge_fraction, shard_of, ShardStats};
+pub use shard::ShardStats;
 pub use telemetry::{NullSink, RequestRecord, SpanRecord, TelemetrySink};

@@ -4,11 +4,10 @@
 //! ([`crate::shard`]) consults for microservice ownership: a dense
 //! `Vec<u32>` of microservice → shard. Two constructors matter:
 //!
-//! * [`Partition::modulo`] — the PR-7 default, `ms.index() % K`. It
-//!   ignores the call graph, so on topologies with per-service private
-//!   microservice slices (the Taobao-scale synthetic preset, real
-//!   Alibaba-style pools) most parent→child edges cross shards and every
-//!   call pays a mailbox hop.
+//! * [`Partition::modulo`] — `ms.index() % K`. It ignores the call
+//!   graph, so on topologies with per-service private microservice slices
+//!   (the Taobao-scale synthetic preset, real Alibaba-style pools) most
+//!   parent→child edges cross shards and every call pays a mailbox hop.
 //! * [`Partition::topology_aware`] — a greedy multilevel partitioner over
 //!   the merged dependency graphs of all services. Edge weights are the
 //!   expected calls/ms over each parent→child microservice pair and node
@@ -54,7 +53,7 @@ use erms_trace::synth::{rate_hints, RateHints};
 ///
 /// Construct via [`Partition::modulo`], [`Partition::topology_aware`] or
 /// [`Partition::from_assignment`]; consume via
-/// [`Simulation::run_sharded_with_partition`](crate::runtime::Simulation::run_sharded_with_partition).
+/// [`Simulation::run_sharded_with_partition_and_sinks`](crate::runtime::Simulation::run_sharded_with_partition_and_sinks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     assign: Vec<u32>,
@@ -88,7 +87,8 @@ impl Partition {
     /// that every partitioning phase is allowed to use.
     pub const BALANCE_TOLERANCE: f64 = 0.10;
 
-    /// The PR-7 default partition: `ms.index() % shards`.
+    /// The id-order partition `ms.index() % shards` (`shards` is clamped
+    /// to at least 1).
     #[must_use]
     pub fn modulo(ms_count: usize, shards: usize) -> Self {
         let shards = shards.max(1);
@@ -384,9 +384,9 @@ impl Partition {
     }
 
     /// Counts `(cut, total)` dependency-graph edges under this table,
-    /// where an edge is cut when parent and child microservices live on
-    /// different shards — the same per-edge counting as
-    /// [`crate::shard::cross_shard_edge_fraction`].
+    /// one per parent→child call site of every service's graph; an edge
+    /// is cut when parent and child microservices live on different
+    /// shards.
     #[must_use]
     pub fn cut_edges(&self, app: &App) -> (u64, u64) {
         let mut cut = 0u64;

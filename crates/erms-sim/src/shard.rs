@@ -1,12 +1,13 @@
 //! Sharded parallel DES with conservative time-window synchronization.
 //!
-//! [`Simulation::run_sharded`] partitions the microservices (and with them
-//! their containers and all events they serve) into `K` shards, each with
-//! its own calendar queue ([`crate::equeue`]), mutable deployment state
-//! and RNG streams, and runs the shards under a conservative time-window
-//! protocol. The result is **bit-identical for every shard count `K` and
-//! every thread count**: the K-shard run equals the 1-shard run field for
-//! field, `f64` bit for `f64` bit.
+//! [`Simulation::run_sharded_with_partition_and_sinks`] partitions the
+//! microservices (and with them their containers and all events they
+//! serve) into `K` shards, each with its own calendar queue
+//! ([`crate::equeue`]), mutable deployment state and RNG streams, and runs
+//! the shards under a conservative time-window protocol. The result is
+//! **bit-identical for every partition, every shard count `K` and every
+//! thread count**: the K-shard run equals the 1-shard run field for field,
+//! `f64` bit for `f64` bit.
 //!
 //! Sharding parallelises *one big* simulation; for many independent runs
 //! use [`crate::replicate::replicate`] instead, which fans replicas out
@@ -15,18 +16,18 @@
 //!
 //! # Partition
 //!
-//! Microservice ownership is a [`Partition`] lookup table. The default —
-//! [`Simulation::run_sharded`] — is [`shard_of`]`(m, K) = m.index() % K`;
-//! [`Simulation::run_sharded_with_partition`] accepts any table, e.g. the
-//! topology-aware min-cut partitions of [`crate::partition`]. Every event
-//! of a call executes on the shard of the microservice that serves it; a
-//! request walks shards as its dependency graph walks microservices.
-//! Cross-microservice interactions — spawning a child call, reporting a
-//! child's completion (or abandonment) back to its parent — are *always*
-//! scheduled events at `t + network_delay_ms`, whether the two
-//! microservices share a shard or not, so the logical event schedule does
-//! not depend on the partition, and results are bit-identical under
-//! *every* partition of the same simulation.
+//! Microservice ownership is a [`Partition`] lookup table:
+//! [`Partition::modulo`] (`m.index() % K`), the topology-aware min-cut
+//! tables of [`crate::partition`], or any table from
+//! [`Partition::from_assignment`]. Every event of a call executes on the
+//! shard of the microservice that serves it; a request walks shards as its
+//! dependency graph walks microservices. Cross-microservice interactions —
+//! spawning a child call, reporting a child's completion (or abandonment)
+//! back to its parent — are *always* scheduled events at
+//! `t + network_delay_ms`, whether the two microservices share a shard or
+//! not, so the logical event schedule does not depend on the partition,
+//! and results are bit-identical under *every* partition of the same
+//! simulation.
 //!
 //! # Conservative windows
 //!
@@ -41,42 +42,26 @@
 //! safe under any thread count; `net = 0` is rejected because the
 //! lookahead would degenerate.
 //!
-//! # Adaptive windows
+//! There is one window rule, `end = g + L`, for every partition, `K` and
+//! thread count. At each window edge every message has been delivered, so
+//! the union of the shards' pending events is the same set the K=1 run
+//! holds; `g`, and with it the whole window sequence, depends only on the
+//! global event schedule. [`ShardStats::windows`] is therefore
+//! partition-invariant, and so is truncation by
+//! [`SimConfig::max_events`](crate::runtime::SimConfig::max_events),
+//! which is checked at window edges against the K-invariant event total:
+//! a capped run stops after the same window, with the same result, under
+//! any partition.
 //!
-//! The partition-aware entry point widens windows past the fixed `g + L`
-//! edge when no cross-shard traffic can land earlier. Call a microservice
-//! *boundary* when any dependency edge touching it is cut by the
-//! partition; only events at boundary microservices can emit a message
-//! (`Ready` across a cut parent→child edge, `Join` across the reverse),
-//! and a non-boundary microservice's whole neighbourhood is co-located so
-//! its events touch no other shard. Each shard keeps a min-heap of the
-//! keys of its pending *cross-capable* events (arrivals whose root is
-//! boundary, `Ready`/`Done` at boundary microservices, `Join`s settling a
-//! boundary parent, faults touching a boundary microservice); with
-//! `cross_min` the global minimum of those keys, the window edge becomes
-//!
-//! ```text
-//! end = max(g + L, min(cross_min + L, g + 2L))
-//! ```
-//!
-//! **Order preservation.** Any message generated inside the window comes
-//! from a cross-capable event. If that event was pending when the edge
-//! was chosen, its key is `≥ cross_min`, so the message lands at
-//! `≥ cross_min + L ≥ end` (when `end = cross_min + L`; `f64` addition is
-//! monotone, so the bound holds bit-exactly). If it was *created* during
-//! the window, it either continues a same-microservice chain from a
-//! pending cross-capable event (keys only grow along a chain, same bound)
-//! or was reached through a `+L` hop from some event `≥ g`, so its
-//! messages land at `≥ g + 2L` — which is why the edge never exceeds
-//! `g + 2L`, computed in the exact `f64` operation order `(g + L) + L`.
-//! Either way no message lands below the chosen edge, so delivery order —
-//! and with it every result bit — is preserved; the K-shard adaptive run
-//! stays bit-identical to the K=1 run under any partition. A partition
-//! with no cut edges at all has no cross-capable events and runs each
-//! shard to completion in a single window. (`SimConfig::max_events` is
-//! checked at window edges, so *where* a capped run truncates depends on
-//! the window policy; the cap is a runaway safety valve ~40× beyond the
-//! Taobao-scale benchmark and no committed test or bench relies on it.)
+//! Wider windows do not pay. Widening past `g + L` while no event that
+//! could emit a cross-shard message is pending within `L` saved 37 of
+//! 9,200 windows per episode (0.4%) on the Taobao-scale closed loop (K=2,
+//! topology-aware, one thread, 6 interleaved seeds), left the message
+//! count unchanged and did not move the round tail (463 ms widened vs
+//! 457 ms fixed, median): at about 5 arrivals/ms such an event is almost
+//! always pending. Running a cut-free partition in one window would make
+//! a capped run overshoot `max_events` (8,865 events instead of 5,002
+//! with a 5,000 cap) and break the partition invariance above.
 //!
 //! # Determinism argument
 //!
@@ -108,12 +93,11 @@
 //! (`tests/golden_sim.rs`), while `run`/`run_reference` and their digests
 //! stay untouched.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 
-use erms_core::app::{App, WorkloadVector};
+use erms_core::app::WorkloadVector;
 use erms_core::error::{Error, Result};
 use erms_core::ids::{MicroserviceId, NodeId, ServiceId};
 use erms_trace::span::{Span, SpanId, SpanKind, TraceId};
@@ -128,75 +112,23 @@ use crate::runtime::{
     EngineFaultKind, Scheduling, SimResult, Simulation,
 };
 use crate::tables::SimTables;
-use crate::telemetry::{NullSink, RequestRecord, SpanRecord, TelemetrySink};
+use crate::telemetry::{RequestRecord, SpanRecord, TelemetrySink};
 use crate::timekey::{key_time, time_key};
 
-/// The shard that owns a microservice under a `shards`-way partition.
-///
-/// Ownership is a pure function of the id, so every shard (and every
-/// external observer, e.g. the scaling bench computing cross-shard edge
-/// fractions) derives the same mapping without coordination.
-#[inline]
-#[must_use]
-pub fn shard_of(ms: MicroserviceId, shards: usize) -> usize {
-    ms.index() % shards.max(1)
-}
-
-/// Fraction of dependency-graph edges whose parent and child microservices
-/// land on different shards under a `shards`-way partition, weighted by
-/// edge count across all services. 0 when `shards <= 1`.
-#[must_use]
-pub fn cross_shard_edge_fraction(app: &App, shards: usize) -> f64 {
-    let mut total = 0u64;
-    let mut cross = 0u64;
-    for (_, svc) in app.services() {
-        for (_, node) in svc.graph.iter() {
-            for stage in &node.stages {
-                for &child in stage {
-                    total += 1;
-                    let child_ms = svc.graph.node(child).microservice;
-                    if shard_of(node.microservice, shards) != shard_of(child_ms, shards) {
-                        cross += 1;
-                    }
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        cross as f64 / total as f64
-    }
-}
-
-/// Execution statistics of one partition-aware sharded run
-/// ([`Simulation::run_sharded_with_partition`]): how much the partition
-/// cut and what the window protocol paid for it.
+/// Execution statistics of one sharded run
+/// ([`Simulation::run_sharded_with_partition_and_sinks`]): what the window
+/// protocol paid. How much a partition cuts is a property of the table
+/// alone — see [`Partition::cut_edges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Shard count of the run.
-    pub shards: usize,
-    /// Dependency-graph edges whose endpoints live on different shards.
-    pub cut_edges: u64,
-    /// Total dependency-graph edges across all services.
-    pub total_edges: u64,
-    /// Conservative windows executed (1 when nothing can cross shards).
+    /// Conservative windows executed; the same under every partition of
+    /// the same simulation.
     pub windows: u64,
     /// Cross-shard messages sent through the mailboxes.
     pub messages: u64,
 }
 
 impl ShardStats {
-    /// `cut_edges / total_edges`, 0 for edge-free topologies.
-    #[must_use]
-    pub fn cut_edge_fraction(&self) -> f64 {
-        if self.total_edges == 0 {
-            0.0
-        } else {
-            self.cut_edges as f64 / self.total_edges as f64
-        }
-    }
-
     /// Mean cross-shard messages per window, 0 for window-free runs.
     #[must_use]
     pub fn messages_per_window(&self) -> f64 {
@@ -431,20 +363,6 @@ struct ShardEngine<'e, S: TelemetrySink> {
     id: usize,
     /// Microservice → shard ownership table.
     partition: &'e Partition,
-    /// Whether windows may widen past `g + L` (the partition-aware entry
-    /// points; the modulo entry points keep the fixed-width protocol).
-    adaptive: bool,
-    /// Per microservice: true when any dependency edge touching it is cut
-    /// by the partition (only such microservices can emit messages).
-    boundary: &'e [bool],
-    /// Per fault-schedule entry: true when any of its losses touches a
-    /// boundary microservice.
-    fault_cross: &'e [bool],
-    /// Keys of pending cross-capable events (maintained only when
-    /// `adaptive`); stale entries below `cross_floor` are drained lazily.
-    cross: BinaryHeap<Reverse<u64>>,
-    /// Keys below this have already been executed (last window's edge).
-    cross_floor: u64,
     /// Future local events in `(time_key, kind, ident)` order — the same
     /// calendar queue as the sequential engine, tie-broken by the global
     /// identity instead of a push counter.
@@ -504,9 +422,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
         containers: &BTreeMap<MicroserviceId, u32>,
         id: usize,
         partition: &'e Partition,
-        adaptive: bool,
-        boundary: &'e [bool],
-        fault_cross: &'e [bool],
         sink: S,
     ) -> Self {
         let ms_count = tables.hot.threads.len();
@@ -556,11 +471,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
         Self {
             id,
             partition,
-            adaptive,
-            boundary,
-            fault_cross,
-            cross: BinaryHeap::new(),
-            cross_floor: 0,
             queue: CalendarQueue::new(),
             batch: Batch::new(),
             duration_ms: sim.config.duration_ms,
@@ -618,13 +528,11 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                 continue;
             }
             let dt = exp_sample(lambda, &mut self.arrival_rng[i]);
-            let cross = self.boundary[root_ms.index()];
             self.push(
                 dt,
                 KIND_ARRIVAL,
                 i as u128,
                 SEvent::Arrival(ServiceId::new(i as u32)),
-                cross,
             );
         }
         for (i, fault) in self.schedule.iter().enumerate() {
@@ -633,27 +541,14 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                 .iter()
                 .any(|&(ms, _)| self.partition.shard_of(ms) == self.id)
             {
-                self.push(
-                    fault.at_ms,
-                    KIND_FAULT,
-                    i as u128,
-                    SEvent::Fault(i as u32),
-                    self.fault_cross[i],
-                );
+                self.push(fault.at_ms, KIND_FAULT, i as u128, SEvent::Fault(i as u32));
             }
         }
     }
 
-    /// Pushes an event, recording its key in the cross-capable heap when
-    /// `cross` (processing it could emit a cross-shard message, directly
-    /// or through a same-time same-microservice chain — see the
-    /// module-level adaptive-windows argument). Over-approximating
-    /// `cross` is always safe; it only narrows the widening.
-    fn push(&mut self, time: f64, kind: u8, ident: u128, event: SEvent, cross: bool) {
+    /// Pushes an event under its global `(time_key, kind, ident)` key.
+    fn push(&mut self, time: f64, kind: u8, ident: u128, event: SEvent) {
         let key = time_key(time);
-        if self.adaptive && cross {
-            self.cross.push(Reverse(key));
-        }
         if self.batch.accepts(key) {
             // Scheduled at the instant being dispatched: tie-order insert
             // into the live batch — `(kind, ident)` is not monotone in
@@ -671,26 +566,9 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
         self.queue.peek_key().unwrap_or(u64::MAX)
     }
 
-    /// Key of the earliest pending cross-capable event (`u64::MAX` when
-    /// none), lazily discarding heap entries of already-executed events.
-    /// Only called at window boundaries of adaptive runs.
-    fn next_cross_key(&mut self) -> u64 {
-        while let Some(&Reverse(key)) = self.cross.peek() {
-            if key < self.cross_floor {
-                self.cross.pop();
-            } else {
-                return key;
-            }
-        }
-        u64::MAX
-    }
-
     /// Processes every local event strictly before `end_key`, filling the
     /// outboxes with cross-shard messages (all timestamped `>= end`).
     fn process_window(&mut self, end_key: u64) {
-        if self.adaptive {
-            self.cross_floor = end_key;
-        }
         loop {
             match self.queue.peek_key() {
                 Some(key) if key < end_key => {}
@@ -743,9 +621,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                         parent: parent_slot,
                         ok,
                     },
-                    // A remote child implies a cut edge to the parent, so
-                    // the parent's microservice is boundary by definition.
-                    true,
                 ),
             }
         }
@@ -770,7 +645,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
     /// Materializes a spawned child call in the local arena and schedules
     /// its `Ready`.
     fn accept_ready(&mut self, w: WireCall) {
-        let cross = self.boundary[w.ms.index()];
         let rng = StdRng::seed_from_u64(stream_seed(self.seed, TAG_CALL, w.rid, w.flat));
         let idx = self.alloc_call(SCall {
             service: w.service,
@@ -800,24 +674,16 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
             KIND_READY,
             call_ident(w.rid, w.flat),
             SEvent::Ready(idx),
-            cross,
         );
     }
 
     fn on_arrival(&mut self, sid: ServiceId, time: f64) {
         let si = sid.index();
         let lambda = self.tables.hot.rate_per_ms[si];
-        let root_cross = self.boundary[self.tables.services[si].root_ms.index()];
         if lambda > 0.0 {
             let next = time + exp_sample(lambda, &mut self.arrival_rng[si]);
             if next <= self.duration_ms {
-                self.push(
-                    next,
-                    KIND_ARRIVAL,
-                    si as u128,
-                    SEvent::Arrival(sid),
-                    root_cross,
-                );
+                self.push(next, KIND_ARRIVAL, si as u128, SEvent::Arrival(sid));
             }
         }
         self.generated += 1;
@@ -857,13 +723,7 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
             in_service: false,
             killed: false,
         });
-        self.push(
-            time,
-            KIND_READY,
-            call_ident(rid, flat),
-            SEvent::Ready(idx),
-            root_cross,
-        );
+        self.push(time, KIND_READY, call_ident(rid, flat), SEvent::Ready(idx));
     }
 
     fn on_ready(&mut self, idx: u32, time: f64) {
@@ -918,7 +778,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                 KIND_DONE,
                 call_ident(rid, flat),
                 SEvent::Done(idx),
-                self.boundary[mi],
             );
         } else {
             container.queues[class].push_back(idx);
@@ -971,7 +830,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                 KIND_DONE,
                 call_ident(rid, flat),
                 SEvent::Done(next),
-                self.boundary[mi],
             );
         }
         if arrive >= self.warmup_ms {
@@ -1156,10 +1014,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
         self.release_call(idx);
         let at = time + self.net_ms;
         if parent_shard == self.id {
-            // The parent's slot is live (it awaits this child, so
-            // `pending >= 1` keeps it allocated) — classify by its
-            // microservice's boundary status.
-            let cross = self.boundary[self.calls[parent_slot as usize].ms.index()];
             self.push(
                 at,
                 KIND_JOIN,
@@ -1168,7 +1022,6 @@ impl<'e, S: TelemetrySink> ShardEngine<'e, S> {
                     parent: parent_slot,
                     ok,
                 },
-                cross,
             );
         } else {
             self.outbox[parent_shard].push(Msg::Join {
@@ -1292,29 +1145,6 @@ fn window_end(gmin: u64, net_ms: f64) -> u64 {
     }
 }
 
-/// The adaptive window edge: at least the classic `gmin + L`, widened to
-/// the earliest instant a cross-shard message could land —
-/// `min(cross_min + L, gmin + 2L)` — when all pending cross-capable
-/// events sit later than `gmin` (see the module-level order-preservation
-/// argument; `gmin + 2L` is computed in the exact `f64` operation order
-/// `(g + L) + L` that bounds hop-created boundary events). A partition
-/// with no cut edges has no cross-shard traffic at all: one window runs
-/// every shard to completion.
-#[inline]
-fn adaptive_window_end(gmin: u64, cross_min: u64, net_ms: f64, has_boundary: bool) -> u64 {
-    if !has_boundary {
-        return u64::MAX;
-    }
-    let classic = window_end(gmin, net_ms);
-    let twice = time_key((key_time(gmin) + net_ms) + net_ms);
-    let cross_end = if cross_min == u64::MAX {
-        u64::MAX
-    } else {
-        time_key(key_time(cross_min) + net_ms)
-    };
-    classic.max(cross_end.min(twice))
-}
-
 /// Advances `fired` past every schedule entry firing before `end_key` and
 /// returns the K-invariant global event total used for the `max_events`
 /// check at window boundaries.
@@ -1334,8 +1164,6 @@ fn run_windows_serial<S: TelemetrySink>(
     net_ms: f64,
     max_events: u64,
     schedule_keys: &[u64],
-    adaptive: bool,
-    has_boundary: bool,
 ) -> (usize, u64) {
     let k = engines.len();
     let mut fired = 0usize;
@@ -1349,16 +1177,7 @@ fn run_windows_serial<S: TelemetrySink>(
         if gmin == u64::MAX {
             break;
         }
-        let end_key = if adaptive {
-            let cross_min = engines
-                .iter_mut()
-                .map(|e| e.next_cross_key())
-                .min()
-                .unwrap_or(u64::MAX);
-            adaptive_window_end(gmin, cross_min, net_ms, has_boundary)
-        } else {
-            window_end(gmin, net_ms)
-        };
+        let end_key = window_end(gmin, net_ms);
         windows += 1;
         for engine in engines.iter_mut() {
             engine.process_window(end_key);
@@ -1392,18 +1211,12 @@ fn run_windows_threaded<'e, S: TelemetrySink + Send>(
     net_ms: f64,
     max_events: u64,
     schedule_keys: &[u64],
-    adaptive: bool,
-    has_boundary: bool,
 ) -> (Vec<ShardEngine<'e, S>>, usize, u64) {
     let k = engines.len();
     let next_keys: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let next_cross: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
     let event_counts: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
     for engine in &mut engines {
         next_keys[engine.id].store(engine.next_key(), AtomicOrdering::Relaxed);
-        if adaptive {
-            next_cross[engine.id].store(engine.next_cross_key(), AtomicOrdering::Relaxed);
-        }
     }
     // Mailboxes indexed [dst][src]; the diagonal is never used.
     let mailboxes: Vec<Vec<Mutex<Vec<Msg>>>> = (0..k)
@@ -1418,7 +1231,6 @@ fn run_windows_threaded<'e, S: TelemetrySink + Send>(
     let (mut out, fired, windows) = std::thread::scope(|scope| {
         let barrier = &barrier;
         let next_keys = &next_keys;
-        let next_cross = &next_cross;
         let event_counts = &event_counts;
         let mailboxes = &mailboxes;
         let handles: Vec<_> = buckets
@@ -1438,16 +1250,7 @@ fn run_windows_threaded<'e, S: TelemetrySink + Send>(
                         }
                         // Every worker reads the same posted keys, so all
                         // derive the identical window edge.
-                        let end_key = if adaptive {
-                            let cross_min = next_cross
-                                .iter()
-                                .map(|a| a.load(AtomicOrdering::Relaxed))
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            adaptive_window_end(gmin, cross_min, net_ms, has_boundary)
-                        } else {
-                            window_end(gmin, net_ms)
-                        };
+                        let end_key = window_end(gmin, net_ms);
                         windows += 1;
                         for engine in bucket.iter_mut() {
                             engine.process_window(end_key);
@@ -1474,10 +1277,6 @@ fn run_windows_threaded<'e, S: TelemetrySink + Send>(
                                 *slot = engine.deliver(msgs);
                             }
                             next_keys[engine.id].store(engine.next_key(), AtomicOrdering::Relaxed);
-                            if adaptive {
-                                next_cross[engine.id]
-                                    .store(engine.next_cross_key(), AtomicOrdering::Relaxed);
-                            }
                             event_counts[engine.id].store(engine.events, AtomicOrdering::Relaxed);
                         }
                         barrier.wait();
@@ -1510,114 +1309,41 @@ fn run_windows_threaded<'e, S: TelemetrySink + Send>(
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points
+// Public entry point
 // ---------------------------------------------------------------------------
 
 impl Simulation<'_> {
-    /// Runs the simulation on `shards` shards under the conservative
-    /// time-window protocol, using up to `min(shards, rayon threads)` OS
-    /// threads. The result is bit-identical for every `shards` and every
-    /// `RAYON_NUM_THREADS` — but *not* to [`Simulation::run`], whose
+    /// Runs the simulation sharded by `partition` — e.g.
+    /// [`Partition::modulo`] or [`Partition::topology_aware`] — under the
+    /// conservative time-window protocol, using up to
+    /// `min(partition.shards(), rayon threads)` OS threads, with one
+    /// [`TelemetrySink`] per shard (`sinks.len()` must equal
+    /// `partition.shards()`; pass [`NullSink`](crate::telemetry::NullSink)s
+    /// for none). Shard `i`'s sink observes the completions of the
+    /// microservices the partition assigns to shard `i`; merge the sinks
+    /// afterwards for a global view (e.g. `TelemetryCollector::merge`,
+    /// which is ingestion-order invariant).
+    ///
+    /// The result and the returned [`ShardStats::windows`] are
+    /// bit-identical under every partition and every `RAYON_NUM_THREADS`
+    /// — but the result is *not* equal to [`Simulation::run`], whose
     /// single sequential RNG stream no partition can reproduce; the
     /// sharded engine has its own pinned golden digests.
     ///
     /// # Errors
     ///
     /// Everything [`Simulation::run`] rejects, plus
-    /// [`Error::InvalidParameter`] when `shards == 0` or when
-    /// `network_delay_ms` (the protocol's lookahead) is zero, negative,
-    /// non-finite, or too small to advance the clock at the horizon.
-    pub fn run_sharded(
-        &self,
-        workloads: &WorkloadVector,
-        containers: &BTreeMap<MicroserviceId, u32>,
-        priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
-        shards: usize,
-    ) -> Result<SimResult> {
-        let mut sinks = vec![NullSink; shards];
-        self.run_sharded_with_sinks(workloads, containers, priorities, shards, &mut sinks)
-    }
-
-    /// [`Simulation::run_sharded`] with one [`TelemetrySink`] per shard
-    /// (`sinks.len()` must equal `shards`). Shard `i`'s sink observes the
-    /// completions of the microservices shard `i` owns; merge the sinks
-    /// afterwards for a global view (e.g.
-    /// `TelemetryCollector::merge`, which is ingestion-order invariant).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_sharded`], plus a sink-count mismatch.
-    pub fn run_sharded_with_sinks<S: TelemetrySink + Send>(
-        &self,
-        workloads: &WorkloadVector,
-        containers: &BTreeMap<MicroserviceId, u32>,
-        priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
-        shards: usize,
-        sinks: &mut [S],
-    ) -> Result<SimResult> {
-        if shards == 0 {
-            return Err(Error::InvalidParameter(
-                "shard count must be at least 1".into(),
-            ));
-        }
-        let partition = Partition::modulo(self.app.microservice_count(), shards);
-        let (result, _) =
-            self.run_sharded_inner(workloads, containers, priorities, &partition, false, sinks)?;
-        Ok(result)
-    }
-
-    /// Runs the simulation sharded by an explicit [`Partition`] — e.g.
-    /// [`Partition::topology_aware`] — with adaptive window widening, and
-    /// reports [`ShardStats`] alongside the result. Bit-identical to
-    /// [`Simulation::run_sharded`] at `shards = 1` (and hence to itself
-    /// under every partition and thread count): the partition moves
-    /// *where* events execute and how wide windows open, never what they
-    /// compute.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_sharded`], plus a partition whose table
-    /// does not cover exactly the app's microservices.
-    pub fn run_sharded_with_partition(
-        &self,
-        workloads: &WorkloadVector,
-        containers: &BTreeMap<MicroserviceId, u32>,
-        priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
-        partition: &Partition,
-    ) -> Result<(SimResult, ShardStats)> {
-        let mut sinks = vec![NullSink; partition.shards()];
-        self.run_sharded_with_partition_and_sinks(
-            workloads, containers, priorities, partition, &mut sinks,
-        )
-    }
-
-    /// [`Simulation::run_sharded_with_partition`] with one
-    /// [`TelemetrySink`] per shard (`sinks.len()` must equal
-    /// `partition.shards()`); shard `i`'s sink observes the completions
-    /// of the microservices the partition assigns to shard `i`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_sharded_with_partition`], plus a
-    /// sink-count mismatch.
+    /// [`Error::InvalidParameter`] when the partition does not cover
+    /// exactly the app's microservices, when the sink count differs from
+    /// the shard count, or when `network_delay_ms` (the protocol's
+    /// lookahead) is zero, negative, non-finite, or too small to advance
+    /// the clock at the horizon.
     pub fn run_sharded_with_partition_and_sinks<S: TelemetrySink + Send>(
         &self,
         workloads: &WorkloadVector,
         containers: &BTreeMap<MicroserviceId, u32>,
         priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
         partition: &Partition,
-        sinks: &mut [S],
-    ) -> Result<(SimResult, ShardStats)> {
-        self.run_sharded_inner(workloads, containers, priorities, partition, true, sinks)
-    }
-
-    fn run_sharded_inner<S: TelemetrySink + Send>(
-        &self,
-        workloads: &WorkloadVector,
-        containers: &BTreeMap<MicroserviceId, u32>,
-        priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
-        partition: &Partition,
-        adaptive: bool,
         sinks: &mut [S],
     ) -> Result<(SimResult, ShardStats)> {
         let shards = partition.shards();
@@ -1651,43 +1377,14 @@ impl Simulation<'_> {
             .iter()
             .map(InstanceTable::build)
             .collect::<Result<_>>()?;
-        // Boundary flags and cut statistics, from the flattened graphs.
-        let mut boundary = vec![false; self.app.microservice_count()];
-        let mut cut_edges = 0u64;
-        let mut total_edges = 0u64;
-        for st in &tables.services {
-            for (parent_ms, child_ms) in st.edges() {
-                total_edges += 1;
-                if partition.shard_of(parent_ms) != partition.shard_of(child_ms) {
-                    cut_edges += 1;
-                    boundary[parent_ms.index()] = true;
-                    boundary[child_ms.index()] = true;
-                }
-            }
-        }
-        let has_boundary = cut_edges > 0;
         let schedule = lower_fault_schedule(self);
         let schedule_keys: Vec<u64> = schedule.iter().map(|f| time_key(f.at_ms)).collect();
-        let fault_cross: Vec<bool> = schedule
-            .iter()
-            .map(|f| f.losses.iter().any(|&(ms, _)| boundary[ms.index()]))
-            .collect();
         let mut engines: Vec<ShardEngine<'_, &mut S>> = sinks
             .iter_mut()
             .enumerate()
             .map(|(i, sink)| {
                 let mut engine = ShardEngine::new(
-                    self,
-                    &tables,
-                    &insts,
-                    &schedule,
-                    containers,
-                    i,
-                    partition,
-                    adaptive,
-                    &boundary,
-                    &fault_cross,
-                    sink,
+                    self, &tables, &insts, &schedule, containers, i, partition, sink,
                 );
                 engine.seed_initial();
                 engine
@@ -1695,14 +1392,8 @@ impl Simulation<'_> {
             .collect();
         let threads = rayon::current_num_threads().clamp(1, shards);
         let (engines, fired, windows) = if threads <= 1 || shards == 1 {
-            let (fired, windows) = run_windows_serial(
-                &mut engines,
-                net,
-                self.config.max_events,
-                &schedule_keys,
-                adaptive,
-                has_boundary,
-            );
+            let (fired, windows) =
+                run_windows_serial(&mut engines, net, self.config.max_events, &schedule_keys);
             (engines, fired, windows)
         } else {
             run_windows_threaded(
@@ -1711,18 +1402,10 @@ impl Simulation<'_> {
                 net,
                 self.config.max_events,
                 &schedule_keys,
-                adaptive,
-                has_boundary,
             )
         };
         let messages: u64 = engines.iter().map(|e| e.msgs_sent).sum();
-        let stats = ShardStats {
-            shards,
-            cut_edges,
-            total_edges,
-            windows,
-            messages,
-        };
+        let stats = ShardStats { windows, messages };
         Ok((merge_outputs(self, engines, fired), stats))
     }
 }

@@ -191,23 +191,6 @@ impl ServiceTable {
             children,
         }
     }
-
-    /// All `(parent_ms, child_ms)` dependency edges of the service, one
-    /// per graph edge in node/stage order — the per-edge view that shard
-    /// boundary flags and cut statistics are computed from.
-    pub(crate) fn edges(&self) -> impl Iterator<Item = (MicroserviceId, MicroserviceId)> + '_ {
-        self.node_ms.iter().enumerate().flat_map(move |(ni, &pms)| {
-            let (stages_start, stages_count) = self.node_stages[ni];
-            (0..stages_count as usize).flat_map(move |stage| {
-                let (children_start, children_count) =
-                    self.stage_spans[stages_start as usize + stage];
-                let span = children_start as usize..(children_start + children_count) as usize;
-                self.children[span]
-                    .iter()
-                    .map(move |&child| (pms, self.node_ms[child.index()]))
-            })
-        })
-    }
 }
 
 /// All immutable lookup tables of one run, laid out densely by id index

@@ -1,12 +1,13 @@
 //! Determinism suite for the sharded parallel DES engine.
 //!
-//! `Simulation::run_sharded` must return bit-identical output at every
-//! shard count `K` and every thread count. The main test sweeps a matrix
-//! of (app, rate, fault plan, seed) configurations across `K ∈ {1, 2, 3,
-//! 8}` while forcing 1-, 2- and 4-thread pools in sequence (one `#[test]`
-//! holds the whole sweep: `RAYON_NUM_THREADS` is process-global state,
-//! and cargo runs tests within a binary concurrently). CI additionally
-//! runs this binary under `RAYON_NUM_THREADS=1`, `2` and `4`.
+//! The sharded engine (`Simulation::run_sharded_with_partition_and_sinks`)
+//! must return bit-identical output at every shard count `K` and every
+//! thread count. The main test sweeps a matrix of (app, rate, fault
+//! plan, seed) configurations across `K ∈ {1, 2, 3, 8}` while forcing 1-,
+//! 2- and 4-thread pools in sequence (one `#[test]` holds the whole
+//! sweep: `RAYON_NUM_THREADS` is process-global state, and cargo runs
+//! tests within a binary concurrently). CI additionally runs this binary
+//! under `RAYON_NUM_THREADS=1`, `2` and `4`.
 
 use std::collections::BTreeMap;
 
@@ -15,8 +16,10 @@ use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::{Interference, LatencyProfile};
 use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
+use erms_sim::partition::Partition;
 use erms_sim::runtime::{SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::NullSink;
 
 /// Chain app: s → a → c (sequential).
 fn chain_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
@@ -48,6 +51,22 @@ fn shared_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
         g.call_seq(root, p);
     });
     (b.build().unwrap(), vec![u, h, p, q], vec![s1, s2])
+}
+
+/// Runs `sim` sharded `id % k` over `app`'s microservices, without
+/// telemetry.
+fn run_modulo(
+    sim: &Simulation<'_>,
+    app: &App,
+    w: &WorkloadVector,
+    cs: &BTreeMap<MicroserviceId, u32>,
+    priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
+    k: usize,
+) -> erms_core::error::Result<SimResult> {
+    let partition = Partition::modulo(app.microservice_count(), k);
+    let mut sinks = vec![NullSink; partition.shards()];
+    sim.run_sharded_with_partition_and_sinks(w, cs, priorities, &partition, &mut sinks)
+        .map(|(result, _)| result)
 }
 
 fn containers_for(app: &App, n: u32) -> BTreeMap<MicroserviceId, u32> {
@@ -180,14 +199,14 @@ fn sharded_runs_are_bit_identical_across_k_and_threads() {
                     if services.len() > 1 {
                         priorities.insert(ms_ids[2], services.clone());
                     }
-                    let base = sim.run_sharded(&w, &cs, &priorities, 1).unwrap();
+                    let base = run_modulo(&sim, &app, &w, &cs, &priorities, 1).unwrap();
                     assert!(base.generated > 0, "sweep cell generated nothing");
                     for k in [2usize, 3, 8] {
                         let label = format!(
                             "{app_name} rate={rate} faults={with_faults} \
                              seed={seed} K={k} threads={threads}"
                         );
-                        let sharded = sim.run_sharded(&w, &cs, &priorities, k).unwrap();
+                        let sharded = run_modulo(&sim, &app, &w, &cs, &priorities, k).unwrap();
                         assert_bit_identical(&sharded, &base, &label);
                     }
                 }
@@ -219,7 +238,7 @@ fn sharded_engine_agrees_statistically_with_sequential_run() {
     let mut w = WorkloadVector::new();
     w.set(services[0], RequestRate::per_minute(6_000.0));
     let seq = sim.run(&w, &cs, &BTreeMap::new()).unwrap();
-    let sharded = sim.run_sharded(&w, &cs, &BTreeMap::new(), 2).unwrap();
+    let sharded = run_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), 2).unwrap();
     let rel = |a: u64, b: u64| (a as f64 - b as f64).abs() / (b as f64);
     assert!(
         rel(sharded.generated, seq.generated) < 0.1,
@@ -255,9 +274,10 @@ fn domain_failure_spanning_shards_is_atomic() {
     let mut sim = Simulation::new(&app, config);
     // ms_ids[1] ("h") and ms_ids[2] ("p") have different shard parity
     // under K = 2, so this one fault event owns containers on both shards.
+    let halves = Partition::modulo(app.microservice_count(), 2);
     assert_ne!(
-        erms_sim::shard_of(ms_ids[1], 2),
-        erms_sim::shard_of(ms_ids[2], 2),
+        halves.shard_of(ms_ids[1]),
+        halves.shard_of(ms_ids[2]),
         "fixture must span both shards"
     );
     let mut losses = BTreeMap::new();
@@ -268,16 +288,16 @@ fn domain_failure_spanning_shards_is_atomic() {
     for &sid in &services {
         w.set(sid, RequestRate::per_minute(6_000.0));
     }
-    let base = sim.run_sharded(&w, &cs, &BTreeMap::new(), 1).unwrap();
+    let base = run_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), 1).unwrap();
     assert_eq!(base.crashed_containers, 3, "domain not fully killed");
     for k in [2usize, 4] {
-        let sharded = sim.run_sharded(&w, &cs, &BTreeMap::new(), k).unwrap();
+        let sharded = run_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), k).unwrap();
         assert_bit_identical(&sharded, &base, &format!("domain-failure K={k}"));
     }
 }
 
 /// A zero (or negative, or sub-ULP) network delay gives the conservative
-/// protocol no lookahead; `run_sharded` must reject it rather than
+/// protocol no lookahead; the sharded engine must reject it rather than
 /// silently serialise or deadlock.
 #[test]
 fn degenerate_lookahead_is_rejected() {
@@ -289,18 +309,32 @@ fn degenerate_lookahead_is_rejected() {
         let sim = Simulation::new(&app, config);
         let mut w = WorkloadVector::new();
         w.set(services[0], RequestRate::per_minute(600.0));
-        let err = sim.run_sharded(&w, &cs, &BTreeMap::new(), 2);
+        let err = run_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), 2);
         assert!(err.is_err(), "net={bad_net} must be rejected");
     }
 }
 
-/// `shards = 0` is invalid.
+/// `shards = 0` is invalid: no partition can be built with zero shards
+/// (`modulo` clamps to one), and the engine rejects a partition or sink
+/// list that does not fit the app.
 #[test]
 fn zero_shards_is_rejected() {
     let (app, _, services) = chain_app();
+    let n = app.microservice_count();
+    assert!(Partition::from_assignment(vec![0; n], 0).is_err());
+    assert_eq!(Partition::modulo(n, 0).shards(), 1);
     let cs = containers_for(&app, 2);
     let sim = Simulation::new(&app, base_config(1));
     let mut w = WorkloadVector::new();
     w.set(services[0], RequestRate::per_minute(600.0));
-    assert!(sim.run_sharded(&w, &cs, &BTreeMap::new(), 0).is_err());
+    let empty = BTreeMap::new();
+    let short = Partition::modulo(n - 1, 1);
+    let mut one = [NullSink];
+    assert!(sim
+        .run_sharded_with_partition_and_sinks(&w, &cs, &empty, &short, &mut one)
+        .is_err());
+    let two = Partition::modulo(n, 2);
+    assert!(sim
+        .run_sharded_with_partition_and_sinks(&w, &cs, &empty, &two, &mut one)
+        .is_err());
 }

@@ -2,8 +2,9 @@
 //! random (app, rate, fault plan, seed, K, thread count) tuples.
 //!
 //! The deterministic suite (`shard_determinism.rs`) sweeps a fixed
-//! matrix; this one drives the same oracle — `run_sharded(K) ==
-//! run_sharded(1)`, field for field, `f64` bit for `f64` bit — from
+//! matrix; this one drives the same oracle — the `id % K` run equals the
+//! K=1 run, field for field, `f64` bit for `f64` bit, in the same number
+//! of windows — from
 //! randomly grown dependency trees with random call multiplicities
 //! (including fractional ones), random workloads and random fault plans.
 //! Everything lives in one `#[test]`: `RAYON_NUM_THREADS` is
@@ -16,8 +17,10 @@ use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::LatencyProfile;
 use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
+use erms_sim::partition::Partition;
 use erms_sim::runtime::{SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::{NullSink, ShardStats};
 use proptest::prelude::*;
 
 /// Growth instructions for a random two-service app over a shared pool of
@@ -139,6 +142,27 @@ fn digest(result: &SimResult) -> u64 {
     h
 }
 
+/// Runs `sim` sharded `id % k` over `app`'s microservices, without
+/// telemetry.
+fn run_modulo(
+    sim: &Simulation<'_>,
+    app: &App,
+    w: &WorkloadVector,
+    containers: &BTreeMap<MicroserviceId, u32>,
+    k: usize,
+) -> (SimResult, ShardStats) {
+    let partition = Partition::modulo(app.microservice_count(), k);
+    let mut sinks = vec![NullSink; partition.shards()];
+    sim.run_sharded_with_partition_and_sinks(
+        w,
+        containers,
+        &BTreeMap::new(),
+        &partition,
+        &mut sinks,
+    )
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -174,10 +198,8 @@ proptest! {
         for &sid in &services {
             w.set(sid, RequestRate::per_minute(spec.rate_per_min));
         }
-        let base = sim.run_sharded(&w, &containers, &BTreeMap::new(), 1).unwrap();
-        let sharded = sim
-            .run_sharded(&w, &containers, &BTreeMap::new(), spec.shards)
-            .unwrap();
+        let (base, base_stats) = run_modulo(&sim, &app, &w, &containers, 1);
+        let (sharded, stats) = run_modulo(&sim, &app, &w, &containers, spec.shards);
         let (got, want) = (digest(&sharded), digest(&base));
         prop_assert!(
             got == want,
@@ -185,5 +207,6 @@ proptest! {
             spec.shards,
             spec.threads
         );
+        prop_assert_eq!(stats.windows, base_stats.windows);
     }
 }

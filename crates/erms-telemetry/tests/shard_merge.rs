@@ -1,6 +1,7 @@
 //! Telemetry sink merge across simulation shards.
 //!
-//! `Simulation::run_sharded_with_sinks` attaches one sink per shard; each
+//! `Simulation::run_sharded_with_partition_and_sinks` attaches one sink
+//! per shard; each
 //! sink observes exactly the spans and requests served by its shard's
 //! microservices. The per-shard [`TelemetryCollector`]s are then folded
 //! with [`TelemetryCollector::merge`]. This suite pins the contract:
@@ -21,8 +22,9 @@ use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::LatencyProfile;
 use erms_core::resources::Resources;
-use erms_sim::runtime::{SimConfig, Simulation};
+use erms_sim::runtime::{SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::{NullSink, Partition, TelemetrySink};
 use erms_telemetry::{TelemetryCollector, TelemetryConfig};
 
 fn fanout_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
@@ -40,6 +42,21 @@ fn fanout_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
         g.call_seq(root, p);
     });
     (b.build().unwrap(), vec![u, h, p, q], vec![s1, s2])
+}
+
+/// Runs `sim` sharded `id % sinks.len()` over `app`'s microservices, one
+/// sink per shard.
+fn run_modulo<S: TelemetrySink + Send>(
+    sim: &Simulation<'_>,
+    app: &App,
+    w: &WorkloadVector,
+    containers: &BTreeMap<MicroserviceId, u32>,
+    sinks: &mut [S],
+) -> SimResult {
+    let partition = Partition::modulo(app.microservice_count(), sinks.len());
+    sim.run_sharded_with_partition_and_sinks(w, containers, &BTreeMap::new(), &partition, sinks)
+        .unwrap()
+        .0
 }
 
 fn telemetry_config() -> TelemetryConfig {
@@ -74,22 +91,16 @@ fn shard_sinks_partition_the_stream_and_merge_cleanly() {
     }
 
     // Unobserved baseline and K=1 observed run.
-    let unobserved = sim
-        .run_sharded(&w, &containers, &BTreeMap::new(), 4)
-        .unwrap();
+    let unobserved = run_modulo(&sim, &app, &w, &containers, &mut [NullSink; 4]);
     let mut single = vec![TelemetryCollector::for_app(&app, telemetry_config())];
-    let observed_k1 = sim
-        .run_sharded_with_sinks(&w, &containers, &BTreeMap::new(), 1, &mut single)
-        .unwrap();
+    let observed_k1 = run_modulo(&sim, &app, &w, &containers, &mut single);
     let single = single.pop().unwrap();
 
     // K=4 observed run, one collector per shard.
     let mut shard_sinks: Vec<TelemetryCollector> = (0..4)
         .map(|_| TelemetryCollector::for_app(&app, telemetry_config()))
         .collect();
-    let observed_k4 = sim
-        .run_sharded_with_sinks(&w, &containers, &BTreeMap::new(), 4, &mut shard_sinks)
-        .unwrap();
+    let observed_k4 = run_modulo(&sim, &app, &w, &containers, &mut shard_sinks);
 
     // Sink invisibility on the sharded path: observing the run does not
     // change it, and neither does the shard count.

@@ -96,9 +96,9 @@ impl SynthConfig {
     /// the paper's own testbed.
     ///
     /// The preset is *shard-aware* by construction: microservice ids are
-    /// assigned densely in creation order, so the `id % K` shard partition
-    /// used by `erms-sim::shard_of` splits the pool into near-equal shards
-    /// for every practical `K` (the bench sweeps K ≤ 8), and the shared
+    /// assigned densely in creation order, so the `id % K` partition of
+    /// `erms_sim::Partition::modulo` splits the pool into near-equal
+    /// shards for every practical `K` (the bench sweeps K ≤ 8), and the shared
     /// segment — the ids every service calls into — is itself spread
     /// evenly across shards, which keeps per-shard event load balanced
     /// instead of concentrating the hot shared tier on one shard.

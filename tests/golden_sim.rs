@@ -21,6 +21,7 @@ use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
 use erms_sim::runtime::{Scheduling, SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::{NullSink, Partition, ShardStats};
 
 /// Chain app: s → a → c (sequential).
 fn chain_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
@@ -51,6 +52,18 @@ fn shared_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
         g.call_seq(root, p);
     });
     (b.build().unwrap(), vec![u, h, p, q], vec![s1, s2])
+}
+
+/// Runs `sim` on the sharded engine under `partition`, without telemetry.
+fn run_partitioned(
+    sim: &Simulation<'_>,
+    w: &WorkloadVector,
+    cs: &BTreeMap<MicroserviceId, u32>,
+    partition: &Partition,
+) -> (SimResult, ShardStats) {
+    let mut sinks = vec![NullSink; partition.shards()];
+    sim.run_sharded_with_partition_and_sinks(w, cs, &BTreeMap::new(), partition, &mut sinks)
+        .unwrap()
 }
 
 fn containers_for(app: &App, n: u32) -> BTreeMap<MicroserviceId, u32> {
@@ -280,14 +293,15 @@ fn sharded_golden_digest_is_pinned() {
     sim.set_uniform_interference(Interference::new(0.2, 0.2));
     let mut w = WorkloadVector::new();
     w.set(services[0], RequestRate::per_minute(3_000.0));
-    let base = sim.run_sharded(&w, &cs, &BTreeMap::new(), 1).unwrap();
+    let n = app.microservice_count();
+    let (base, _) = run_partitioned(&sim, &w, &cs, &Partition::modulo(n, 1));
     assert_eq!(
         digest(&base),
         SHARDED_GOLDEN_DIGEST,
         "pinned sharded golden digest drifted"
     );
     for k in [2usize, 4] {
-        let sharded = sim.run_sharded(&w, &cs, &BTreeMap::new(), k).unwrap();
+        let (sharded, _) = run_partitioned(&sim, &w, &cs, &Partition::modulo(n, k));
         assert_eq!(
             digest(&sharded),
             SHARDED_GOLDEN_DIGEST,
@@ -297,12 +311,12 @@ fn sharded_golden_digest_is_pinned() {
 }
 
 /// FNV-1a digest of the `sharded_golden_digest_is_pinned` configuration,
-/// captured from `run_sharded(.., 1)` when the sharded engine landed.
+/// captured from the one-shard run when the sharded engine landed.
 const SHARDED_GOLDEN_DIGEST: u64 = 3806858764435182055;
 
-/// The partition-aware adaptive-window entry point must land on the very
-/// same pinned digest: topology-aware partitions (and the window widening
-/// they enable) move *where* events execute, never what they compute.
+/// Topology-aware partitions must land on the very same pinned digest, in
+/// the same windows: a partition moves *where* events execute, never what
+/// they compute or when the shards synchronize.
 #[test]
 fn partitioned_runs_hit_the_pinned_sharded_digest() {
     let (app, ms_ids, services) = chain_app();
@@ -314,22 +328,81 @@ fn partitioned_runs_hit_the_pinned_sharded_digest() {
     sim.set_uniform_interference(Interference::new(0.2, 0.2));
     let mut w = WorkloadVector::new();
     w.set(services[0], RequestRate::per_minute(3_000.0));
+    let (_, base_stats) = run_partitioned(
+        &sim,
+        &w,
+        &cs,
+        &Partition::modulo(app.microservice_count(), 1),
+    );
     for k in [2usize, 3] {
-        let partition = erms_sim::Partition::topology_aware(&app, &w, k);
-        let (result, stats) = sim
-            .run_sharded_with_partition(&w, &cs, &BTreeMap::new(), &partition)
-            .unwrap();
+        let partition = Partition::topology_aware(&app, &w, k);
+        let (result, stats) = run_partitioned(&sim, &w, &cs, &partition);
         assert_eq!(
             digest(&result),
             SHARDED_GOLDEN_DIGEST,
             "topology-aware K={k} diverged from the pinned sharded digest"
         );
-        assert_eq!(stats.shards, k);
+        assert_eq!(stats.windows, base_stats.windows, "K={k}: windows");
         assert_eq!(
-            stats.cut_edges == 0,
+            partition.cut_edges(&app).0 == 0,
             stats.messages == 0,
             "cut edges and message traffic must agree (stats {stats:?})"
         );
+    }
+}
+
+/// `max_events` is checked at window edges against the K-invariant event
+/// total, and the window sequence is the global schedule's, so a run the
+/// cap truncates mid-way stops after the same window — with the same
+/// result — under every partition, cut-free ones included.
+#[test]
+fn capped_sharded_runs_truncate_identically_under_every_partition() {
+    let (app, ms_ids, services) = chain_app();
+    let cs = containers_for(&app, 2);
+    let mut w = WorkloadVector::new();
+    w.set(services[0], RequestRate::per_minute(3_000.0));
+    let sim_capped_at = |max_events: u64| {
+        let mut sim = Simulation::new(
+            &app,
+            SimConfig {
+                max_events,
+                ..base_config(42)
+            },
+        );
+        for &ms in &ms_ids {
+            sim.set_service_time(ms, ServiceTimeModel::new(2.0, 0.3, 1.0, 0.5));
+        }
+        sim.set_uniform_interference(Interference::new(0.2, 0.2));
+        sim
+    };
+    let n = app.microservice_count();
+    let one = Partition::modulo(n, 1);
+    let (full, _) = run_partitioned(&sim_capped_at(u64::MAX), &w, &cs, &one);
+    let sim = sim_capped_at(5_000);
+    let (base, base_stats) = run_partitioned(&sim, &w, &cs, &one);
+    assert!(
+        base.events > 5_000 && base.events < full.events,
+        "the cap must bite mid-run ({} of {} events)",
+        base.events,
+        full.events
+    );
+    let partitions = [
+        ("modulo K=2", Partition::modulo(n, 2)),
+        ("modulo K=4", Partition::modulo(n, 4)),
+        ("topology-aware K=2", Partition::topology_aware(&app, &w, 2)),
+        ("topology-aware K=3", Partition::topology_aware(&app, &w, 3)),
+    ];
+    assert!(
+        partitions
+            .iter()
+            .any(|(_, p)| p.shards() > 1 && p.cut_edges(&app).0 == 0),
+        "the fixture must include a cut-free multi-shard partition"
+    );
+    for (label, partition) in &partitions {
+        let (result, stats) = run_partitioned(&sim, &w, &cs, partition);
+        assert_bit_identical(&result, &base, label);
+        assert_eq!(digest(&result), digest(&base), "{label}: digest");
+        assert_eq!(stats.windows, base_stats.windows, "{label}: windows");
     }
 }
 

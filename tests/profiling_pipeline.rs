@@ -132,7 +132,7 @@ fn profiling_recovers_the_latency_curve() {
             .iter()
             .map(|(_, l, _)| *l)
             .collect();
-        truth_points.push((rate, erms::sim::stats::percentile(&back_lat, 0.95)));
+        truth_points.push((rate, erms::core::stats::percentile(&back_lat, 0.95)));
         let _ = front;
     }
     let profile = PiecewiseFitter::default()

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use erms::core::prelude::*;
 use erms::sim::runtime::{SimConfig, Simulation};
 use erms::sim::service_time::derive_from_profile;
-use erms::sim::FaultPlan;
+use erms::sim::{FaultPlan, NullSink, Partition};
 use erms::telemetry::{TelemetryCollector, TelemetryConfig};
 use erms::workload::apps::fig5_app;
 
@@ -55,8 +55,8 @@ fn run_counted(duration_ms: f64, sampling: Option<f64>) -> (u64, u64) {
     run_counted_inner(duration_ms, sampling, None, false)
 }
 
-/// The sharded variant: same scenario through `run_sharded` at `shards`
-/// shards. Telemetry sinks are not attached (the shard engine takes one
+/// The sharded variant: same scenario through the sharded engine on the
+/// `id % shards` partition. Telemetry sinks are not attached (the shard engine takes one
 /// sink per shard; the merge cost is covered by erms-telemetry's tests).
 fn run_counted_sharded(duration_ms: f64, shards: usize) -> (u64, u64) {
     run_counted_inner(duration_ms, None, Some(shards), false)
@@ -132,14 +132,25 @@ fn run_counted_inner(
         )
     });
 
+    let partition = shards.map(|k| Partition::modulo(app.microservice_count(), k));
+    let mut null_sinks = vec![NullSink; shards.unwrap_or(0)];
+
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let result = match (collector.as_mut(), shards) {
+    let result = match (collector.as_mut(), &partition) {
         (Some(collector), _) => sim
             .run_with_sink(&w, &containers, &priorities, collector)
             .expect("sim runs"),
-        (None, Some(k)) => sim
-            .run_sharded(&w, &containers, &priorities, k)
-            .expect("sim runs"),
+        (None, Some(partition)) => {
+            sim.run_sharded_with_partition_and_sinks(
+                &w,
+                &containers,
+                &priorities,
+                partition,
+                &mut null_sinks,
+            )
+            .expect("sim runs")
+            .0
+        }
         (None, None) => sim.run(&w, &containers, &priorities).expect("sim runs"),
     };
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
